@@ -13,7 +13,15 @@
 //! 2. **Robustness.** Decoding never panics: every read is
 //!    bounds-checked and every operand validated, with byte-offset
 //!    [`CodecError`]s for the container to wrap.
-//! 3. **Chunk independence.** The context resets at chunk boundaries,
+//! 3. **Speed.** Instruction records away from the payload tail decode
+//!    through a fast path that reads one fixed 24-byte window. It
+//!    commits — advances the cursor and the [`Ctx`] — only after the
+//!    whole record has validated; anything else (another record kind,
+//!    a malformed varint, a register out of range, the last 24 bytes
+//!    of a payload) is decoded by the checked path from the unchanged
+//!    state. So every [`CodecError`] comes from the checked path, and
+//!    both paths yield the same results, offsets included.
+//! 4. **Chunk independence.** The context resets at chunk boundaries,
 //!    so a corrupt chunk never poisons its neighbours and readers can
 //!    skip or resynchronize at chunk granularity.
 //!
@@ -221,6 +229,35 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Bytes the fast decode path reads at once: enough for the longest
+/// instruction record (17 bytes: tag, flags, two 5-byte varints, three
+/// registers, tid, explicit size) and for an 8-byte load at the last
+/// varint it can start at (offset 11).
+const WINDOW: usize = 24;
+
+/// The LEB128 varint at `w[at]`, with the offset just past it, when it
+/// fits in 32 bits. Reads one 8-byte word and finds the length from
+/// its continuation bits, without a branch per byte. Anything longer
+/// than 5 bytes or above `u32::MAX` is left to [`Cursor::varint32`] to
+/// report.
+#[inline(always)]
+fn window_varint(w: &[u8; WINDOW], at: usize) -> Option<(u32, usize)> {
+    let x = u64::from_le_bytes(w[at..at + 8].try_into().ok()?);
+    // High bit of each of the first 5 bytes that ends the varint.
+    let ends = !x & 0x0000_0080_8080_8080;
+    if ends == 0 {
+        return None;
+    }
+    let len = ends.trailing_zeros() as usize / 8 + 1;
+    let x = x & (u64::MAX >> (64 - 8 * len));
+    let v = (x & 0x7f)
+        | (x >> 1) & (0x7f << 7)
+        | (x >> 2) & (0x7f << 14)
+        | (x >> 3) & (0x7f << 21)
+        | (x >> 4) & (0x7f << 28);
+    Some((u32::try_from(v).ok()?, at + len))
+}
+
 /// Encodes one record, updating the context.
 pub fn encode_record(ctx: &mut Ctx, r: &TraceRecord, out: &mut Vec<u8>) {
     match r {
@@ -354,7 +391,80 @@ impl<'a> ChunkDecoder<'a> {
     }
 
     /// Decodes the next record, or `None` at the payload end.
+    #[inline]
     pub fn next_record(&mut self) -> Result<Option<TraceRecord>, CodecError> {
+        match self.next_instr_fast() {
+            Some(i) => Ok(Some(TraceRecord::Instr(i))),
+            None => self.next_record_checked(),
+        }
+    }
+
+    /// The fast path: an instruction record read from one fixed
+    /// [`WINDOW`]-byte view of the payload, so a single bounds check
+    /// covers every operand. It commits (cursor and context) only once
+    /// the whole record has validated; `None` leaves the decoder
+    /// untouched for [`Self::next_record_checked`] to decode, or to
+    /// report the error, from the same state.
+    #[inline(always)]
+    fn next_instr_fast(&mut self) -> Option<AppInstr> {
+        let pos = self.cursor.pos;
+        let w: &[u8; WINDOW] = self.cursor.buf.get(pos..pos + WINDOW)?.try_into().ok()?;
+        let class = class_from_tag(w[0])?;
+        let flags = w[1];
+        let has = |bit: u8| flags & bit != 0;
+        let (pc, mut at) = window_varint(w, 2)?;
+        // Register and tid bytes follow at offsets the flags fix: read
+        // and validate them together rather than branch on each flag.
+        let mut slot = |bit: u8| {
+            let here = at;
+            at += has(bit) as usize;
+            here
+        };
+        let (src1, src2, dest, tid) = (slot(F_SRC1), slot(F_SRC2), slot(F_DEST), slot(F_TID));
+        let valid = |bit: u8, at: usize| !has(bit) | ((w[at] as usize) < NUM_REGS);
+        if !(valid(F_SRC1, src1) & valid(F_SRC2, src2) & valid(F_DEST, dest)) {
+            return None;
+        }
+        // In range whenever present; the mask only spares absent ones
+        // the range assertion.
+        let reg = |bit: u8, at: usize| has(bit).then_some(Reg::new(w[at] % NUM_REGS as u8));
+        let mut i = AppInstr {
+            src1: reg(F_SRC1, src1),
+            src2: reg(F_SRC2, src2),
+            dest: reg(F_DEST, dest),
+            tid: if has(F_TID) { w[tid] } else { self.ctx.cur_tid },
+            ..AppInstr::new(VirtAddr::new(unzigzag(pc, self.ctx.prev_pc)), class)
+                .with_result_ptr(has(F_RESULT_PTR))
+        };
+        if has(F_MEM) {
+            let (delta, end) = window_varint(w, at)?;
+            at = end;
+            let addr = unzigzag(delta, self.ctx.prev_mem);
+            let size = match flags >> SIZE_SHIFT {
+                SIZE_WORD => 4,
+                SIZE_BYTE => 1,
+                SIZE_HALF => 2,
+                _ => {
+                    at += 1;
+                    w[at - 1]
+                }
+            };
+            i.mem = Some(MemRef {
+                addr: VirtAddr::new(addr),
+                size,
+            });
+            self.ctx.prev_mem = addr;
+        }
+        self.ctx.prev_pc = i.pc.raw();
+        self.cursor.pos = pos + at;
+        Some(i)
+    }
+
+    /// The checked decoder: every read bounds-checked, every operand
+    /// validated, and the only source of [`CodecError`]s. Kept out of
+    /// line so that the decode loop around the fast path stays small.
+    #[inline(never)]
+    fn next_record_checked(&mut self) -> Result<Option<TraceRecord>, CodecError> {
         if self.is_done() {
             return Ok(None);
         }
@@ -479,29 +589,63 @@ impl<'a> ChunkDecoder<'a> {
 }
 
 /// CRC-32 (IEEE 802.3, reflected) — the per-chunk integrity check.
+///
+/// Slicing-by-8: each step folds eight input bytes through eight
+/// derived tables instead of one byte through one, the same polynomial
+/// and therefore bit-identical checksums to the bytewise loop, which
+/// still finishes the last `len % 8` bytes.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    const T: [[u32; 256]; 8] = crc32_tables();
     let mut crc: u32 = 0xffff_ffff;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = T[7][lo as u8 as usize]
+            ^ T[6][(lo >> 8) as u8 as usize]
+            ^ T[5][(lo >> 16) as u8 as usize]
+            ^ T[4][(lo >> 24) as usize]
+            ^ T[3][hi as u8 as usize]
+            ^ T[2][(hi >> 8) as u8 as usize]
+            ^ T[1][(hi >> 16) as u8 as usize]
+            ^ T[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ T[0][(crc as u8 ^ b) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the bytewise table; `T[k][b]` is the CRC contribution of
+/// byte `b` followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 #[cfg(test)]
@@ -584,6 +728,289 @@ mod tests {
             dec.next_record(),
             Err(CodecError::BadOperand { .. })
         ));
+    }
+
+    /// SplitMix64, for seeded random streams and mutations.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn coin(&mut self) -> bool {
+            self.next() & 1 != 0
+        }
+    }
+
+    const CLASSES: [InstrClass; 11] = [
+        InstrClass::Load,
+        InstrClass::Store,
+        InstrClass::IntAlu,
+        InstrClass::IntMove,
+        InstrClass::IntMul,
+        InstrClass::FpAlu,
+        InstrClass::Branch,
+        InstrClass::Jump,
+        InstrClass::Call,
+        InstrClass::Return,
+        InstrClass::Nop,
+    ];
+
+    /// A record of any kind. Addresses are mostly near their
+    /// predecessor (1–4-byte varints) and sometimes anywhere (5-byte
+    /// varints); sizes and tids sometimes take their escape encodings.
+    fn random_record(rng: &mut Rng, near: &mut u32) -> TraceRecord {
+        let mut addr = |rng: &mut Rng| {
+            *near = if rng.below(4) == 0 {
+                rng.next() as u32
+            } else {
+                let bits = 7 * (1 + rng.below(4));
+                near.wrapping_add(rng.below(1 << bits) as u32)
+            };
+            VirtAddr::new(*near)
+        };
+        let len = |rng: &mut Rng| rng.next() as u32 >> rng.below(32);
+        match rng.below(12) {
+            0 => TraceRecord::Stack(StackUpdateEvent {
+                base: addr(rng),
+                len: len(rng),
+                kind: if rng.coin() {
+                    StackUpdateKind::Call
+                } else {
+                    StackUpdateKind::Return
+                },
+                tid: rng.next() as u8,
+            }),
+            1 => TraceRecord::High(HighLevelEvent::Malloc {
+                base: addr(rng),
+                len: len(rng),
+                ctx: len(rng),
+            }),
+            2 => TraceRecord::High(HighLevelEvent::Free {
+                base: addr(rng),
+                len: len(rng),
+            }),
+            3 => TraceRecord::High(HighLevelEvent::TaintSource {
+                base: addr(rng),
+                len: len(rng),
+            }),
+            4 => TraceRecord::High(HighLevelEvent::ThreadSwitch {
+                tid: rng.below(3) as u8,
+            }),
+            _ => {
+                let reg = |rng: &mut Rng| rng.coin().then(|| Reg::new(rng.below(NUM_REGS) as u8));
+                let mut i = AppInstr::new(addr(rng), CLASSES[rng.below(CLASSES.len())])
+                    .with_result_ptr(rng.coin())
+                    .with_tid(rng.below(3) as u8);
+                i.src1 = reg(rng);
+                i.src2 = reg(rng);
+                i.dest = reg(rng);
+                if rng.coin() {
+                    let size = [1, 2, 4, 4, 8, rng.next() as u8][rng.below(6)];
+                    i = i.with_mem(MemRef {
+                        addr: addr(rng),
+                        size,
+                    });
+                }
+                TraceRecord::Instr(i)
+            }
+        }
+    }
+
+    /// Encodes a random stream, returning the payload and the offset at
+    /// which each record starts.
+    fn random_payload(rng: &mut Rng, n: usize) -> (Vec<u8>, Vec<usize>) {
+        let mut ctx = Ctx::default();
+        let mut near = 0;
+        let mut payload = Vec::new();
+        let mut starts = Vec::with_capacity(n);
+        for _ in 0..n {
+            starts.push(payload.len());
+            encode_record(&mut ctx, &random_record(rng, &mut near), &mut payload);
+        }
+        (payload, starts)
+    }
+
+    /// Decodes `payload` through [`ChunkDecoder::next_record`] and the
+    /// checked path alone, asserting the same results, errors, offsets
+    /// and state after every step — also past an error, where decoding
+    /// continues from wherever the error left the cursor.
+    fn assert_paths_agree(payload: &[u8]) {
+        let mut fast = ChunkDecoder::new(payload);
+        let mut checked = ChunkDecoder::new(payload);
+        for step in 0..=payload.len() {
+            let got = fast.next_record();
+            let want = checked.next_record_checked();
+            assert_eq!(got, want, "step {step} of {payload:02x?}");
+            assert_eq!(
+                (fast.pos(), &fast.ctx),
+                (checked.pos(), &checked.ctx),
+                "step {step} of {payload:02x?}"
+            );
+            if got == Ok(None) {
+                return;
+            }
+        }
+        panic!("every step consumes a byte, so {payload:02x?} must end");
+    }
+
+    /// How many records of a valid payload the fast path decodes, and
+    /// how many there are.
+    fn fast_path_share(payload: &[u8]) -> (usize, usize) {
+        let mut dec = ChunkDecoder::new(payload);
+        let (mut fast, mut total) = (0, 0);
+        loop {
+            if dec.next_instr_fast().is_some() {
+                fast += 1;
+            } else if dec.next_record_checked().unwrap().is_none() {
+                return (fast, total);
+            }
+            total += 1;
+        }
+    }
+
+    /// Where the first operand after an instruction record's pc varint
+    /// sits.
+    fn after_pc(payload: &[u8], start: usize) -> usize {
+        let mut at = start + 2;
+        while payload[at] & 0x80 != 0 {
+            at += 1;
+        }
+        at + 1
+    }
+
+    #[test]
+    fn fast_path_agrees_with_the_checked_decoder() {
+        let mut rng = Rng(0xfade);
+        let mut fast_records = 0;
+        let mut total_records = 0;
+        for case in 0..400 {
+            let n = 1 + rng.below(64);
+            let (payload, starts) = random_payload(&mut rng, n);
+            assert_paths_agree(&payload);
+
+            let (fast, total) = fast_path_share(&payload);
+            fast_records += fast;
+            total_records += total;
+
+            // Byte flips.
+            for _ in 0..8 {
+                let mut m = payload.clone();
+                for _ in 0..1 + rng.below(3) {
+                    let at = rng.below(m.len());
+                    m[at] ^= 1 + rng.below(255) as u8;
+                }
+                assert_paths_agree(&m);
+            }
+            // Truncation at every offset, on a share of the cases.
+            if case % 8 == 0 {
+                for cut in 0..payload.len() {
+                    assert_paths_agree(&payload[..cut]);
+                }
+            }
+            for &start in &starts {
+                if payload[start] > 10 {
+                    continue;
+                }
+                let flags = payload[start + 1];
+                let operand = after_pc(&payload, start);
+                // A register byte >= NUM_REGS.
+                if flags & (F_SRC1 | F_SRC2 | F_DEST) != 0 {
+                    let mut m = payload.clone();
+                    m[operand] = (NUM_REGS + rng.below(256 - NUM_REGS)) as u8;
+                    assert_paths_agree(&m);
+                }
+                // The flags byte with a tid or an explicit size forced.
+                for force in [F_TID, F_MEM | (SIZE_EXPLICIT << SIZE_SHIFT)] {
+                    let mut m = payload.clone();
+                    m[start + 1] |= force;
+                    assert_paths_agree(&m);
+                }
+                // The pc varint replaced by a non-canonical 4-byte one,
+                // a valid 5-byte one, one too large for 32 bits and one
+                // longer than 5 bytes.
+                for pc in [
+                    &[0x81, 0x80, 0x80, 0x00][..],
+                    &[0x80, 0x80, 0x80, 0x80, 0x01],
+                    &[0xff, 0xff, 0xff, 0xff, 0x7f],
+                    &[0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+                ] {
+                    let mut m = payload.clone();
+                    m.splice(start + 2..operand, pc.iter().copied());
+                    assert_paths_agree(&m);
+                }
+            }
+        }
+        // Short streams and far jumps keep most of these on the checked
+        // path, but the fast path must still be exercised.
+        assert!(
+            fast_records * 10 > total_records,
+            "the fast path decoded only {fast_records} of {total_records} records"
+        );
+    }
+
+    #[test]
+    fn fast_path_agrees_on_generated_traces() {
+        for name in ["gcc", "water", "mcf", "astar-taint", "hmmer"] {
+            let records = sample(name, 5_000);
+            let mut payload = Vec::new();
+            encode_chunk(&records, &mut payload);
+            assert_paths_agree(&payload);
+            // All but the instructions in the last window.
+            let instrs = records
+                .iter()
+                .filter(|r| matches!(r, TraceRecord::Instr(_)))
+                .count();
+            let (fast, _) = fast_path_share(&payload);
+            assert!(
+                fast * 100 >= instrs * 99,
+                "{name}: the fast path decoded only {fast} of {instrs} instructions"
+            );
+        }
+    }
+
+    /// CRC-32 one bit at a time: the definition the sliced tables
+    /// must reproduce.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffff_u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xedb8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bitwise_definition() {
+        let mut rng = Rng(0xc0c);
+        let buf: Vec<u8> = (0..8192).map(|_| rng.next() as u8).collect();
+        // Every length up to nine words, at every alignment.
+        for len in 0..=72 {
+            for start in 0..8 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "len {len} at {start}");
+            }
+        }
+        for _ in 0..200 {
+            let start = rng.below(64);
+            let s = &buf[start..start + rng.below(buf.len() - start)];
+            assert_eq!(crc32(s), crc32_bitwise(s), "len {}", s.len());
+        }
     }
 
     #[test]

@@ -107,6 +107,8 @@ const MAX_CHUNK_PAYLOAD: u32 = 1 << 26;
 const MAX_CHUNK_RECORDS: u32 = 1 << 24;
 /// Upper bound for the bench-name field.
 const MAX_NAME_LEN: usize = 255;
+/// Bytes [`TraceReader`] asks its stream for at a time.
+const READ_BYTES: usize = 64 * 1024;
 
 /// Profile metadata carried in the file header: enough to rebuild the
 /// [`crate::BenchProfile`] context a recorded trace was captured under.
@@ -446,18 +448,22 @@ pub struct TraceReader<R: Read> {
     /// Header schema version; selects the trailer layout (version 1
     /// uses the short trailer and has no index frame).
     version: u16,
-    /// File offset of the next logically-unread byte (the front of
-    /// `buf`, when `buf` is non-empty).
+    /// File offset of the next logically-unread byte (`buf[head]`, when
+    /// any look-ahead is buffered).
     pos: u64,
-    /// Look-ahead over `r`: frame parsing peeks here and only consumes
-    /// bytes once the whole frame verifies, so a failed parse leaves
-    /// the stream intact for resynchronization.
-    buf: std::collections::VecDeque<u8>,
+    /// Look-ahead over `r`; the unread bytes are `buf[head..end]`.
+    /// Frame parsing peeks here, checksums and decodes each frame in
+    /// place, and only consumes bytes once the whole frame verifies, so
+    /// a failed parse leaves the stream intact for resynchronization.
+    /// Consumed bytes are compacted away once `head` passes half the
+    /// data, which keeps `buf` at about one frame plus one read.
+    buf: Vec<u8>,
+    head: usize,
+    end: usize,
     /// `r` reported end-of-stream.
     eof: bool,
     chunk: Vec<TraceRecord>,
     chunk_pos: usize,
-    payload: Vec<u8>,
     total_seen: u64,
     /// End of trace reached (verified trailer, or a recovered reader
     /// ran off the end of the stream).
@@ -468,11 +474,11 @@ pub struct TraceReader<R: Read> {
     claimed_lost: u64,
 }
 
-impl TraceReader<io::BufReader<std::fs::File>> {
-    /// Opens a trace file from disk (strict mode).
+impl TraceReader<std::fs::File> {
+    /// Opens a trace file from disk (strict mode). The reader does its
+    /// own buffering, so the file is read unwrapped.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
-        let f = std::fs::File::open(path)?;
-        TraceReader::new(io::BufReader::new(f))
+        TraceReader::new(std::fs::File::open(path)?)
     }
 
     /// Opens a trace file from disk in recover mode (see
@@ -484,25 +490,47 @@ impl TraceReader<io::BufReader<std::fs::File>> {
 
 impl<R: Read> TraceReader<R> {
     /// Wraps a byte stream, parsing and validating the header.
-    pub fn new(mut r: R) -> Result<Self, TraceFileError> {
-        let mut pos = 0u64;
-        let mut magic = [0u8; 8];
-        read_exact_at(&mut r, &mut magic, &mut pos).map_err(|e| match e {
+    pub fn new(r: R) -> Result<Self, TraceFileError> {
+        let mut reader = TraceReader {
+            r,
+            meta: TraceMeta::new("", 0),
+            version: 0,
+            pos: 0,
+            buf: Vec::new(),
+            head: 0,
+            end: 0,
+            eof: false,
+            chunk: Vec::new(),
+            chunk_pos: 0,
+            total_seen: 0,
+            done: false,
+            recover: false,
+            degradation: DegradationReport::default(),
+            claimed_lost: 0,
+        };
+        reader.read_header()?;
+        Ok(reader)
+    }
+
+    fn read_header(&mut self) -> Result<(), TraceFileError> {
+        let magic = self.take(8).map_err(|e| match e {
             TraceFileError::Truncated { .. } => TraceFileError::BadMagic,
             other => other,
         })?;
-        if &magic != FILE_MAGIC {
+        if self.buf[magic] != FILE_MAGIC[..] {
             return Err(TraceFileError::BadMagic);
         }
-        let version = read_u16(&mut r, &mut pos)?;
+        let at = self.take(2)?.start;
+        let version = u16_at(&self.buf, at);
         if version > FORMAT_VERSION || version == 0 {
             return Err(TraceFileError::UnsupportedVersion { found: version });
         }
-        let hlen = read_u16(&mut r, &mut pos)? as usize;
-        let mut hpayload = vec![0u8; hlen];
-        read_exact_at(&mut r, &mut hpayload, &mut pos)?;
-        let hcrc = read_u32(&mut r, &mut pos)?;
-        if crc32(&hpayload) != hcrc {
+        let at = self.take(2)?.start;
+        let hlen = u16_at(&self.buf, at) as usize;
+        let at = self.take(hlen)?;
+        let hpayload = self.buf[at].to_vec();
+        let at = self.take(4)?.start;
+        if crc32(&hpayload) != u32_at(&self.buf, at) {
             return Err(TraceFileError::BadHeader);
         }
         // name_len + name + seed; later minor versions may append more.
@@ -513,25 +541,9 @@ impl<R: Read> TraceReader<R> {
         let bench = std::str::from_utf8(&hpayload[1..1 + name_len])
             .map_err(|_| TraceFileError::BadHeader)?
             .to_string();
-        let mut seed_bytes = [0u8; 8];
-        seed_bytes.copy_from_slice(&hpayload[1 + name_len..1 + name_len + 8]);
-        let seed = u64::from_le_bytes(seed_bytes);
-        Ok(TraceReader {
-            r,
-            meta: TraceMeta { bench, seed },
-            version,
-            pos,
-            buf: std::collections::VecDeque::new(),
-            eof: false,
-            chunk: Vec::new(),
-            chunk_pos: 0,
-            payload: Vec::new(),
-            total_seen: 0,
-            done: false,
-            recover: false,
-            degradation: DegradationReport::default(),
-            claimed_lost: 0,
-        })
+        self.meta = TraceMeta::new(bench, u64_at(&hpayload, 1 + name_len));
+        self.version = version;
+        Ok(())
     }
 
     /// Switches the reader to recover mode: a corrupt, truncated or
@@ -590,42 +602,66 @@ impl<R: Read> TraceReader<R> {
     // -- buffered look-ahead ------------------------------------------
 
     /// Ensures up to `n` bytes are buffered; returns how many are
-    /// available (fewer than `n` only at end-of-stream).
+    /// available (fewer than `n` only at end-of-stream). Each read asks
+    /// for [`READ_BYTES`], so the buffer grows with the bytes that
+    /// actually arrive, never with a length field's claim.
     fn fill(&mut self, n: usize) -> Result<usize, TraceFileError> {
-        let mut tmp = [0u8; 8192];
-        while self.buf.len() < n && !self.eof {
-            let want = (n - self.buf.len()).min(tmp.len());
-            match self.r.read(&mut tmp[..want]) {
+        while self.end - self.head < n && !self.eof {
+            if self.head > self.end / 2 {
+                self.buf.copy_within(self.head..self.end, 0);
+                self.end -= self.head;
+                self.head = 0;
+            }
+            if self.buf.len() - self.end < READ_BYTES {
+                self.buf.resize(self.end + READ_BYTES, 0);
+            }
+            match self.r.read(&mut self.buf[self.end..]) {
                 Ok(0) => self.eof = true,
-                Ok(k) => self.buf.extend(&tmp[..k]),
+                Ok(k) => self.end += k,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        Ok(self.buf.len().min(n))
+        Ok((self.end - self.head).min(n))
     }
 
-    /// Drops `n` already-buffered bytes from the front of `buf`.
+    /// [`Self::fill`] that requires all `n` bytes, failing with the
+    /// offset at which the stream ran out.
+    fn fill_exact(&mut self, n: usize) -> Result<(), TraceFileError> {
+        let avail = self.fill(n)?;
+        if avail < n {
+            return Err(TraceFileError::Truncated {
+                offset: self.pos + avail as u64,
+            });
+        }
+        Ok(())
+    }
+
+    /// Consumes the next `n` bytes, returning where they sit in `buf`
+    /// (valid until the next fill); a short stream fails at their start.
+    fn take(&mut self, n: usize) -> Result<std::ops::Range<usize>, TraceFileError> {
+        if self.fill(n)? < n {
+            return Err(TraceFileError::Truncated { offset: self.pos });
+        }
+        let at = self.head;
+        self.consume(n);
+        Ok(at..at + n)
+    }
+
+    /// Drops `n` already-buffered bytes from the look-ahead.
     fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.buf.len(), "consume beyond buffered look-ahead");
-        self.buf.drain(..n);
+        debug_assert!(n <= self.end - self.head, "consume beyond buffered look-ahead");
+        self.head += n;
         self.pos += n as u64;
     }
 
-    fn peek_u32(&self, off: usize) -> u32 {
-        let mut b = [0u8; 4];
-        for (i, x) in b.iter_mut().enumerate() {
-            *x = self.buf[off + i];
-        }
-        u32::from_le_bytes(b)
+    /// The buffered, unread look-ahead.
+    fn ahead(&self) -> &[u8] {
+        &self.buf[self.head..self.end]
     }
 
-    fn peek_u64(&self, off: usize) -> u64 {
-        let mut b = [0u8; 8];
-        for (i, x) in b.iter_mut().enumerate() {
-            *x = self.buf[off + i];
-        }
-        u64::from_le_bytes(b)
+    fn peek_u32(&self, off: usize) -> u32 {
+        u32_at(self.ahead(), off)
     }
 
     // -- frame parsing ------------------------------------------------
@@ -636,17 +672,10 @@ impl<R: Read> TraceReader<R> {
     /// frame's bytes and recovery can rescan them.
     fn load_next_frame_strict(&mut self) -> Result<bool, TraceFileError> {
         let chunk_offset = self.pos;
-        if self.fill(1)? < 1 {
-            return Err(TraceFileError::Truncated { offset: self.pos });
-        }
-        match self.buf[0] {
+        self.fill_exact(1)?;
+        match self.ahead()[0] {
             CHUNK_MARKER => {
-                let avail = self.fill(13)?;
-                if avail < 13 {
-                    return Err(TraceFileError::Truncated {
-                        offset: self.pos + avail as u64,
-                    });
-                }
+                self.fill_exact(13)?;
                 let plen = self.peek_u32(1);
                 let nrecords = self.peek_u32(5);
                 if plen > MAX_CHUNK_PAYLOAD
@@ -659,15 +688,9 @@ impl<R: Read> TraceReader<R> {
                 }
                 let crc = self.peek_u32(9);
                 let frame_len = 13 + plen as usize;
-                let avail = self.fill(frame_len)?;
-                if avail < frame_len {
-                    return Err(TraceFileError::Truncated {
-                        offset: self.pos + avail as u64,
-                    });
-                }
-                self.payload.clear();
-                self.payload.extend(self.buf.iter().skip(13).take(plen as usize));
-                if crc32(&self.payload) != crc {
+                self.fill_exact(frame_len)?;
+                let payload = &self.buf[self.head + 13..self.head + frame_len];
+                if crc32(payload) != crc {
                     return Err(TraceFileError::ChecksumMismatch { chunk_offset });
                 }
                 // The old chunk is fully drained (loop invariant), so
@@ -676,7 +699,7 @@ impl<R: Read> TraceReader<R> {
                 // served as real ones.
                 self.chunk.clear();
                 self.chunk_pos = 0;
-                if let Err(error) = ChunkDecoder::new(&self.payload)
+                if let Err(error) = ChunkDecoder::new(payload)
                     .decode_all(nrecords as usize, &mut self.chunk)
                 {
                     self.chunk.clear();
@@ -693,12 +716,7 @@ impl<R: Read> TraceReader<R> {
                 if self.version < 2 {
                     return Err(TraceFileError::BadStructure { offset: chunk_offset });
                 }
-                let avail = self.fill(13)?;
-                if avail < 13 {
-                    return Err(TraceFileError::Truncated {
-                        offset: self.pos + avail as u64,
-                    });
-                }
+                self.fill_exact(13)?;
                 let plen = self.peek_u32(1);
                 let nchunks = self.peek_u32(5);
                 if plen > MAX_CHUNK_PAYLOAD
@@ -708,15 +726,8 @@ impl<R: Read> TraceReader<R> {
                 }
                 let crc = self.peek_u32(9);
                 let frame_len = 13 + plen as usize;
-                let avail = self.fill(frame_len)?;
-                if avail < frame_len {
-                    return Err(TraceFileError::Truncated {
-                        offset: self.pos + avail as u64,
-                    });
-                }
-                self.payload.clear();
-                self.payload.extend(self.buf.iter().skip(13).take(plen as usize));
-                if crc32(&self.payload) != crc {
+                self.fill_exact(frame_len)?;
+                if crc32(&self.ahead()[13..frame_len]) != crc {
                     return Err(TraceFileError::ChecksumMismatch { chunk_offset });
                 }
                 self.consume(frame_len);
@@ -726,19 +737,9 @@ impl<R: Read> TraceReader<R> {
             }
             END_MARKER => {
                 let tlen = self.trailer_len();
-                let avail = self.fill(tlen)?;
-                if avail < tlen {
-                    return Err(TraceFileError::Truncated {
-                        offset: self.pos + avail as u64,
-                    });
-                }
-                let count = self.peek_u64(1);
-                let crc = self.peek_u32(tlen - 4);
-                let mut crc_input = [0u8; 16];
-                for (i, x) in crc_input[..tlen - 5].iter_mut().enumerate() {
-                    *x = self.buf[1 + i];
-                }
-                if crc32(&crc_input[..tlen - 5]) != crc {
+                self.fill_exact(tlen)?;
+                let count = u64_at(self.ahead(), 1);
+                if crc32(&self.ahead()[1..tlen - 4]) != self.peek_u32(tlen - 4) {
                     return Err(TraceFileError::ChecksumMismatch { chunk_offset });
                 }
                 if count != self.total_seen {
@@ -825,13 +826,13 @@ impl<R: Read> TraceReader<R> {
         // still parseable (checksum/decode faults leave it intact).
         let claimed = match first_err {
             TraceFileError::ChecksumMismatch { .. } | TraceFileError::Corrupt { .. }
-                if self.buf.len() >= 13 && self.buf[0] == CHUNK_MARKER =>
+                if self.ahead().len() >= 13 && self.ahead()[0] == CHUNK_MARKER =>
             {
                 self.peek_u32(5) as u64
             }
             _ => 0,
         };
-        if matches!(first_err, TraceFileError::Truncated { .. }) && self.buf.is_empty() {
+        if matches!(first_err, TraceFileError::Truncated { .. }) && self.ahead().is_empty() {
             // Clean end-of-stream at a frame boundary: a missing
             // trailer, not a skippable frame.
             self.degradation.faults.push(SkippedChunk {
@@ -858,7 +859,7 @@ impl<R: Read> TraceReader<R> {
                 self.end_at_truncated_tail();
                 return Ok(false);
             }
-            let b = self.buf[0];
+            let b = self.ahead()[0];
             if b != CHUNK_MARKER && b != END_MARKER && b != INDEX_MARKER {
                 self.consume(1);
                 continue;
@@ -933,9 +934,7 @@ impl<R: Read> TraceReader<R> {
     /// Reads and validates the whole remaining trace.
     pub fn read_all(&mut self) -> Result<Vec<TraceRecord>, TraceFileError> {
         let mut out = Vec::new();
-        while let Some(r) = self.next_record()? {
-            out.push(r);
-        }
+        self.next_records_into(&mut out, usize::MAX)?;
         Ok(out)
     }
 }
@@ -946,31 +945,6 @@ impl<R: Read> Iterator for TraceReader<R> {
     fn next(&mut self) -> Option<Self::Item> {
         self.next_record().transpose()
     }
-}
-
-fn read_exact_at<R: Read>(r: &mut R, buf: &mut [u8], pos: &mut u64) -> Result<(), TraceFileError> {
-    match r.read_exact(buf) {
-        Ok(()) => {
-            *pos += buf.len() as u64;
-            Ok(())
-        }
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-            Err(TraceFileError::Truncated { offset: *pos })
-        }
-        Err(e) => Err(e.into()),
-    }
-}
-
-fn read_u16<R: Read>(r: &mut R, pos: &mut u64) -> Result<u16, TraceFileError> {
-    let mut b = [0u8; 2];
-    read_exact_at(r, &mut b, pos)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn read_u32<R: Read>(r: &mut R, pos: &mut u64) -> Result<u32, TraceFileError> {
-    let mut b = [0u8; 4];
-    read_exact_at(r, &mut b, pos)?;
-    Ok(u32::from_le_bytes(b))
 }
 
 // ---------------------------------------------------------------------
@@ -1285,6 +1259,10 @@ impl ChunkIndex {
         }
         Ok(out)
     }
+}
+
+fn u16_at(bytes: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes([bytes[at], bytes[at + 1]])
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
